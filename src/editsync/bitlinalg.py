@@ -8,6 +8,7 @@ the string rendering).  All linear algebra is over GF(2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .rng import CounterRng
@@ -170,33 +171,46 @@ def mat_vec_mul(x: BitVector, m: BitMatrix) -> BitVector:
     return BitVector(acc, m.cols)
 
 
-def _echelon(rows: Iterable[int]) -> list[tuple[int, int]]:
-    """Reduced row echelon basis as (pivot, row) pairs, pivots ascending.
+def _eliminate(rows: Iterable[int]) -> tuple[list[tuple[int, int, int]], int]:
+    """Gauss-Jordan elimination that tracks which input rows make each row.
 
-    Pivot = lowest set bit (leftmost column first), so elimination order is
-    deterministic.
+    Returns the reduced echelon basis as (pivot, row, combination) triples,
+    pivots ascending, where the pivot is the lowest set bit (leftmost
+    column), each pivot bit is set in exactly one basis row, and bit i of
+    the combination marks input row i.  The second result is the
+    combination exposed by the first input row that lies in the span of
+    the rows above it (a nonzero left kernel vector), or 0 if the rows are
+    independent.
     """
-    basis: list[tuple[int, int]] = []
-    for r in rows:
-        for p, br in basis:
+    basis: list[tuple[int, int, int]] = []
+    dependent = 0
+    for i, r in enumerate(rows):
+        comb = 1 << i
+        for p, br, bc in basis:
             if (r >> p) & 1:
                 r ^= br
-        if r:
-            p = (r & -r).bit_length() - 1
-            basis = [(q, br ^ r if (br >> p) & 1 else br) for q, br in basis]
-            basis.append((p, r))
+                comb ^= bc
+        if r == 0:
+            dependent = dependent or comb
+            continue
+        p = (r & -r).bit_length() - 1
+        basis = [
+            (q, br ^ r, bc ^ comb) if (br >> p) & 1 else (q, br, bc)
+            for q, br, bc in basis
+        ]
+        basis.append((p, r, comb))
     basis.sort()
-    return basis
+    return basis, dependent
 
 
 def rank(m: BitMatrix) -> int:
     """GF(2) row rank via Gaussian elimination."""
-    return len(_echelon(m.rows))
+    return len(_eliminate(m.rows)[0])
 
 
 def row_space_basis(m: BitMatrix) -> list[int]:
     """Reduced echelon basis of the row space, as packed rows."""
-    return [r for _, r in _echelon(m.rows)]
+    return [r for _, r, _ in _eliminate(m.rows)[0]]
 
 
 def in_row_space(word: int, basis: Sequence[int]) -> bool:
@@ -224,14 +238,13 @@ def row_space_intersection(mats: Sequence[BitMatrix]) -> list[BitVector]:
             raise ValueError("matrices must share the column count")
     inter = row_space_basis(mats[0])
     for m in mats[1:]:
-        combined = [u | (u << b) for u in inter]
-        combined += [w for w in row_space_basis(m)]
+        combined = [u | (u << b) for u in inter] + row_space_basis(m)
         high = [
             r >> b
-            for _, r in _echelon(combined)
+            for _, r, _ in _eliminate(combined)[0]
             if r & ((1 << b) - 1) == 0
         ]
-        inter = [r for _, r in _echelon(high)]
+        inter = [r for _, r, _ in _eliminate(high)[0]]
         if not inter:
             break
     return [BitVector(r, b) for r in inter]
@@ -243,21 +256,9 @@ def solve_left(m: BitMatrix, c: BitVector) -> BitVector | None:
     a, b = m.dims
     if c.n != b:
         raise ValueError(f"target length {c.n} != column count {b}")
-    basis: list[tuple[int, int, int]] = []  # (pivot, row, combination)
-    for i, row in enumerate(m.rows):
-        r, comb = row, 1 << i
-        for p, br, bc in basis:
-            if (r >> p) & 1:
-                r ^= br
-                comb ^= bc
-        if r == 0:
-            raise ValueError("matrix is not full rank")
-        p = (r & -r).bit_length() - 1
-        basis = [
-            (q, br ^ r, bc ^ comb) if (br >> p) & 1 else (q, br, bc)
-            for q, br, bc in basis
-        ]
-        basis.append((p, r, comb))
+    basis, dependent = _eliminate(m.rows)
+    if dependent:
+        raise ValueError("matrix is not full rank")
     r, comb = c.bits, 0
     for p, br, bc in basis:
         if (r >> p) & 1:
@@ -274,19 +275,19 @@ def left_kernel_vector(m: BitMatrix) -> BitVector | None:
     Deterministic: returns the combination exposed by the first dependent
     row in top-to-bottom elimination order.
     """
-    basis: list[tuple[int, int, int]] = []
-    for i, row in enumerate(m.rows):
-        r, comb = row, 1 << i
-        for p, br, bc in basis:
-            if (r >> p) & 1:
-                r ^= br
-                comb ^= bc
-        if r == 0:
-            return BitVector(comb, m.nrows)
-        p = (r & -r).bit_length() - 1
-        basis.append((p, r, comb))
-        basis.sort()
-    return None
+    dependent = _eliminate(m.rows)[1]
+    return BitVector(dependent, m.nrows) if dependent else None
+
+
+@lru_cache(maxsize=256)
+def codeword_table(mat: BitMatrix) -> tuple[int, ...]:
+    """All 2^a codewords of the code generated by mat; entry x is x*mat."""
+    table = [0] * (1 << mat.nrows)
+    for i, row in enumerate(mat.rows):
+        step = 1 << i
+        for x in range(step):
+            table[step + x] = table[x] ^ row
+    return tuple(table)
 
 
 def random_matrix(a: int, b: int, rng_seed) -> BitMatrix:

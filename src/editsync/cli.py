@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -62,12 +61,15 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _write_json(path: str | None, obj: dict) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=False) + "\n"
+def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
+
+
+def _write_json(path: str | None, obj: dict) -> None:
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=False) + "\n")
 
 
 def _read_bitstring(path: str) -> BitVector:
@@ -173,11 +175,7 @@ def _cmd_encode(args) -> int:
     outer = OuterCodeSpec.from_json(_read_json(args.outer))
     message = _read_bitstring(args.message)
     cw = concat_encode(params, sync, outer, message)
-    text = str(cw.bits) + "\n"
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
+    _write_text(args.out, str(cw.bits) + "\n")
     return EXIT_OK
 
 
@@ -185,11 +183,7 @@ def _cmd_corrupt(args) -> int:
     x = _read_bitstring(args.input)
     script = random_edit_script(x, args.budget, args.seed)
     y = apply_edits(x, script)
-    text = str(y) + "\n"
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
+    _write_text(args.out, str(y) + "\n")
     if args.script:
         obj = script.to_json()
         obj["seed"] = args.seed
@@ -234,13 +228,6 @@ def _cmd_rate(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="editsync", description=__doc__)
-    ap.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker parallelism bound; results are independent of it "
-        "(current implementation runs sequentially)",
-    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ball", help="enumerate an edit ball")
@@ -331,9 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("--threads must be at least 1", file=sys.stderr)
-        return EXIT_PRECONDITION
     try:
         return args.func(args)
     except CapExceeded as exc:

@@ -60,8 +60,8 @@ def _derived_fields(gamma: Fraction, n: int) -> dict:
         "overlap_limit": l,
         "list_limit": list_limit,
         "inner_rate": rate,
-        "block_bits": b,
         "msg_bits": math.floor(rate * b),
+        "block_bits": b,
         "box_limit": math.ceil(list_limit / gamma**3),
         "window_step": max(1, _floor(gamma * b)),
         "threshold": _floor(delta * b),
@@ -112,11 +112,9 @@ class ConcatParams:
             if self.gamma is None:
                 raise ValueError("derived mode requires gamma")
             expected = _derived_fields(self.gamma, self.n)
-            for name in (
-                "delta", "overlap_limit", "list_limit", "msg_bits", "block_bits",
-                "box_limit", "window_step", "threshold", "edit_budget",
-            ):
-                if getattr(self, name) != expected[name]:
+            del expected["inner_rate"]
+            for name, value in expected.items():
+                if getattr(self, name) != value:
                     raise ValueError(
                         f"derived-mode field {name} disagrees with the formulas"
                     )
@@ -213,33 +211,12 @@ def derive_params(gamma, n: int, c1: float = 1.0) -> DeriveReport:
     feasible = f["inner_rate"] > 0 and f["msg_bits"] >= 1
     params = None
     if feasible:
-        params = ConcatParams(
-            mode="derived",
-            n=n,
-            msg_bits=f["msg_bits"],
-            block_bits=f["block_bits"],
-            overlap_limit=f["overlap_limit"],
-            list_limit=f["list_limit"],
-            box_limit=f["box_limit"],
-            window_step=f["window_step"],
-            threshold=f["threshold"],
-            edit_budget=f["edit_budget"],
-            gamma=gamma,
-            delta=f["delta"],
-        )
+        concat_fields = {k: v for k, v in f.items() if k != "inner_rate"}
+        params = ConcatParams(mode="derived", n=n, gamma=gamma, **concat_fields)
     return DeriveReport(
         gamma=gamma,
         n=n,
-        delta=f["delta"],
-        overlap_limit=f["overlap_limit"],
-        list_limit=f["list_limit"],
-        inner_rate=f["inner_rate"],
-        block_bits=f["block_bits"],
-        msg_bits=f["msg_bits"],
-        box_limit=f["box_limit"],
-        window_step=f["window_step"],
-        threshold=f["threshold"],
-        edit_budget=f["edit_budget"],
+        **f,
         rate_lower_bound=rate_bound,
         feasible=feasible,
         params=params,
@@ -295,15 +272,15 @@ def concat_encode(
 
 def window_plan(params: ConcatParams, received_len: int) -> list[tuple[int, int]]:
     """Half-open windows [s, min(s + b, len)) for s = 0, t, 2t, ... < len."""
-    if received_len < 0:
+    return _windows(params.block_bits, params.window_step, received_len)
+
+
+def _windows(width: int, step: int, length: int) -> list[tuple[int, int]]:
+    if length < 0:
         raise ValueError("received length must be non-negative")
-    plan = []
-    b, t = params.block_bits, params.window_step
-    s = 0
-    while s < received_len:
-        plan.append((s, min(s + b, received_len)))
-        s += t
-    return plan
+    if step < 1:
+        raise ValueError("window step must be at least 1")
+    return [(s, min(s + width, length)) for s in range(0, length, step)]
 
 
 @dataclass(frozen=True)
@@ -370,17 +347,15 @@ def scan_windows(
     boxes: list[set[BitVector]] = [set() for _ in range(n)]
     stats: list[WindowStat] = []
     codes = [InnerCode(mat=sync.mats[j], index=j) for j in range(n)]
-    s = 0
-    while s < y.n:
-        window = y[s : s + b]
+    for s, e in _windows(b, step, y.n):
+        window = y[s:e]
         hits = []
         for j in range(n):
             found = inner_list_decode(codes[j], window, threshold)
             if found:
                 boxes[j] |= found
                 hits.append((j, len(found)))
-        stats.append(WindowStat(start=s, end=min(s + b, y.n), blocks_hit=tuple(hits)))
-        s += step
+        stats.append(WindowStat(start=s, end=e, blocks_hit=tuple(hits)))
     zero = BitVector.zeros(sync.params.msg_bits)
     for box in boxes:
         box.add(zero)

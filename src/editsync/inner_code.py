@@ -5,21 +5,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .bitlinalg import BitMatrix, BitVector, mat_vec_mul, random_matrix, rank
+from .bitlinalg import (
+    BitMatrix,
+    BitVector,
+    codeword_table,
+    mat_vec_mul,
+    random_matrix,
+    rank,
+)
 from .edit_metric import ball_words, binary_entropy, edit_distance_words
 from .rng import derive_seed
-
-
-@lru_cache(maxsize=256)
-def _codeword_table(mat: BitMatrix) -> tuple[int, ...]:
-    table = [0] * (1 << mat.nrows)
-    for i, row in enumerate(mat.rows):
-        step = 1 << i
-        for x in range(step):
-            table[step + x] = table[x] ^ row
-    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -58,7 +54,7 @@ def inner_list_decode(code: InnerCode, y: BitVector, radius: int) -> set[BitVect
     a, b = code.msg_bits, code.block_bits
     if y.n > b + radius or y.n < b - radius:
         return set()
-    table = _codeword_table(code.mat)
+    table = codeword_table(code.mat)
     yw, yn = y.bits, y.n
     return {
         BitVector(x, a)
@@ -79,7 +75,7 @@ def measure_list_decodability(g: BitMatrix, radius: int) -> tuple[int, BitVector
         raise ValueError("exhaustive regime is guarded to k <= 16, n <= 16")
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    table = _codeword_table(g)
+    table = codeword_table(g)
     counts: dict[tuple[int, int], int] = {}
     for x in range(1 << k):
         for key in ball_words(table[x], n, radius):

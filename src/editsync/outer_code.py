@@ -140,22 +140,23 @@ def outer_encode(spec: OuterCodeSpec, message: tuple[int, ...] | list[int]) -> t
 
 @lru_cache(maxsize=16)
 def _codebook(spec: OuterCodeSpec) -> np.ndarray:
-    """(2^message_bits, block_count) table of all codewords as uint16."""
+    """(2^message_bits, block_count) table of all codewords, as uint16 up
+    to 16-bit symbols and uint32 beyond."""
     if spec.message_bits > MAX_SWEEP_MESSAGE_BITS:
         raise ValueError(
             f"codeword sweep is guarded to {MAX_SWEEP_MESSAGE_BITS} message bits"
         )
     k, w = spec.message_symbols, spec.symbol_bits
-    mask = (1 << w) - 1
+    dtype = np.uint16 if w <= 16 else np.uint32
     size = 1 << spec.message_bits
-    book = np.zeros((size, spec.block_count), dtype=np.uint16)
+    book = np.zeros((size, spec.block_count), dtype=dtype)
     # build by linearity: XOR single-symbol contributions along each axis
     for i in range(k):
         stride = 1 << (i * w)
         for m in range(1, 1 << w):
             msg = [0] * k
             msg[i] = m
-            row = np.array(outer_encode(spec, msg), dtype=np.uint16)
+            row = np.array(outer_encode(spec, msg), dtype=dtype)
             base = m * stride
             lower = book[:stride]
             book[base : base + stride] = lower ^ row

@@ -12,24 +12,25 @@ from __future__ import annotations
 import hashlib
 
 
-def derive_seed(*parts) -> int:
-    """Combine arbitrary parts (ints, strings) into a 128-bit sub-seed."""
+def _digest(parts) -> bytes:
+    """SHA-256 of the parts' reprs, each followed by a 0x1f separator."""
     h = hashlib.sha256()
     for p in parts:
         h.update(repr(p).encode())
         h.update(b"\x1f")
-    return int.from_bytes(h.digest()[:16], "little")
+    return h.digest()
+
+
+def derive_seed(*parts) -> int:
+    """Combine arbitrary parts (ints, strings) into a 128-bit sub-seed."""
+    return int.from_bytes(_digest(parts)[:16], "little")
 
 
 class CounterRng:
     """SHA-256 counter-mode bit stream keyed by seed parts."""
 
     def __init__(self, *seed_parts):
-        h = hashlib.sha256()
-        for p in seed_parts:
-            h.update(repr(p).encode())
-            h.update(b"\x1f")
-        self._key = h.digest()
+        self._key = _digest(seed_parts)
         self._counter = 0
         self._buf = 0
         self._buf_bits = 0

@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 from .bitlinalg import (
     BitMatrix,
     BitVector,
+    codeword_table,
     in_row_space,
     left_kernel_vector,
     random_matrix,
@@ -217,13 +218,15 @@ class SyncSequence:
         return seq
 
 
-def _codewords(mat: BitMatrix) -> list[int]:
-    table = [0] * (1 << mat.nrows)
-    for i, row in enumerate(mat.rows):
-        step = 1 << i
-        for x in range(step):
-            table[step + x] = table[x] ^ row
-    return table
+def _ball_masks(mat: BitMatrix, radius: int) -> dict[tuple[int, int], int]:
+    """{(length, word): bitmask of the messages x whose codeword x*mat lies
+    within ``radius`` edits of the word}, over every ball around a codeword
+    of mat (the zero message included)."""
+    masks: dict[tuple[int, int], int] = {}
+    for x, c in enumerate(codeword_table(mat)):
+        for key in ball_words(c, mat.cols, radius):
+            masks[key] = masks.get(key, 0) | (1 << x)
+    return masks
 
 
 def check_rowspace_condition(
@@ -232,8 +235,9 @@ def check_rowspace_condition(
     """Exact-alignment warm-up: every (overlap_limit+1)-subset of row
     spaces must intersect only in {0}.  None means pass.
 
-    Detection hashes nonzero codewords to the blocks producing them; a
-    candidate witness is re-validated through row_space_intersection.
+    Detection maps nonzero codewords to the blocks producing them, with
+    the least message of each; a candidate witness is re-validated through
+    row_space_intersection.
     """
     if overlap_limit < 1:
         raise ValueError("overlap limit must be at least 1")
@@ -247,14 +251,9 @@ def check_rowspace_condition(
         return None
     hit_blocks: dict[int, dict[int, int]] = {}
     for i, m in enumerate(mats):
-        cw = _codewords(m)
-        for x in range(1, 1 << m.nrows):
-            v = cw[x]
-            if v == 0:
-                continue  # zero target never witnesses a row-space overlap
-            per_v = hit_blocks.setdefault(v, {})
-            if i not in per_v:
-                per_v[i] = x
+        for (_, v), xm in _ball_masks(m, 0).items():
+            if v:  # zero target never witnesses a row-space overlap
+                hit_blocks.setdefault(v, {})[i] = (xm & -xm).bit_length() - 1
     violating = [v for v, per in hit_blocks.items() if len(per) > overlap_limit]
     if not violating:
         return None
@@ -304,7 +303,7 @@ def _alignment_witness(
 ) -> AlignmentViolation:
     hits = []
     for i, m in enumerate(mats):
-        cw = _codewords(m)
+        cw = codeword_table(m)
         for x in range(1, 1 << params.msg_bits):
             if (
                 edit_distance_words(cw[x], params.block_bits, v_word, v_len)
@@ -320,7 +319,7 @@ def _alignment_witness(
 def _list_size_witness(
     params: SyncParams, mats: Sequence[BitMatrix], block: int, v_len: int, v_word: int
 ) -> ListSizeViolation:
-    cw = _codewords(mats[block])
+    cw = codeword_table(mats[block])
     msgs = [
         BitVector(x, params.msg_bits)
         for x in range(1 << params.msg_bits)
@@ -333,7 +332,9 @@ def _list_size_witness(
     )
 
 
-def _verify_fast(params: SyncParams, mats: Sequence[BitMatrix], max_work: int) -> _VerifyOutcome:
+def _verify_fast(
+    params: SyncParams, mats: Sequence[BitMatrix], max_work: int
+) -> tuple[AlignmentViolation | None, ListSizeViolation | None]:
     n, a, b, radius = params.n, params.msg_bits, params.block_bits, params.radius
     estimate = n * (1 << a) * _ball_work_bound(b, radius)
     if estimate > max_work:
@@ -341,26 +342,16 @@ def _verify_fast(params: SyncParams, mats: Sequence[BitMatrix], max_work: int) -
             f"fast verification needs about {estimate} steps (cap {max_work})",
             required=estimate,
         )
-    cond3 = None
-    for i, m in enumerate(mats):
-        k = left_kernel_vector(m)
-        if k is not None:
-            cond3 = RankViolation(block=i, kernel=k)
-            break
-
-    # v encoded as (len, word); per target: bitmask of blocks with a nonzero
-    # hit, and per (target, block) a bitmask over messages (zero included).
+    # per target (len, word): bitmask of blocks with a nonzero message in
+    # range; list-size breaches as (len, word, block)
     block_mask: dict[tuple[int, int], int] = {}
-    msg_mask: dict[tuple[int, int, int], int] = {}
+    bad2 = []
     for i, m in enumerate(mats):
-        cw = _codewords(m)
-        for x in range(1 << a):
-            for ln, w in ball_words(cw[x], b, radius):
-                key = (ln, w)
-                if x:
-                    block_mask[key] = block_mask.get(key, 0) | (1 << i)
-                mkey = (ln, w, i)
-                msg_mask[mkey] = msg_mask.get(mkey, 0) | (1 << x)
+        for key, xm in _ball_masks(m, radius).items():
+            if xm > 1:
+                block_mask[key] = block_mask.get(key, 0) | (1 << i)
+            if xm.bit_count() > params.list_limit:
+                bad2.append((*key, i))
 
     cond1 = None
     bad1 = [
@@ -371,19 +362,15 @@ def _verify_fast(params: SyncParams, mats: Sequence[BitMatrix], max_work: int) -
         cond1 = _alignment_witness(params, mats, ln, w)
 
     cond2 = None
-    bad2 = [
-        key for key, xm in msg_mask.items() if xm.bit_count() > params.list_limit
-    ]
     if bad2:
         ln, w, i = min(bad2)
         cond2 = _list_size_witness(params, mats, i, ln, w)
-
-    return _VerifyOutcome(cond1, cond2, cond3)
+    return cond1, cond2
 
 
 def _verify_reference(
     params: SyncParams, mats: Sequence[BitMatrix], max_work: int
-) -> _VerifyOutcome:
+) -> tuple[AlignmentViolation | None, ListSizeViolation | None]:
     n, a, b, radius = params.n, params.msg_bits, params.block_bits, params.radius
     lo, hi = max(0, b - radius), b + radius
     estimate = n * (1 << a) * sum(1 << ln for ln in range(lo, hi + 1))
@@ -392,14 +379,7 @@ def _verify_reference(
             f"reference verification needs about {estimate} steps (cap {max_work})",
             required=estimate,
         )
-    cond3 = None
-    for i, m in enumerate(mats):
-        k = left_kernel_vector(m)
-        if k is not None:
-            cond3 = RankViolation(block=i, kernel=k)
-            break
-
-    tables = [_codewords(m) for m in mats]
+    tables = [codeword_table(m) for m in mats]
     cond1 = None
     cond2 = None
     for ln in range(lo, hi + 1):
@@ -422,7 +402,7 @@ def _verify_reference(
                 cond1 = _alignment_witness(params, mats, ln, w)
         if cond1 is not None and cond2 is not None:
             break
-    return _VerifyOutcome(cond1, cond2, cond3)
+    return cond1, cond2
 
 
 def verify_outcome(
@@ -437,11 +417,17 @@ def verify_outcome(
             raise ValueError("matrix dimensions disagree with params")
     if len(mats) != params.n:
         raise ValueError("matrix count disagrees with params")
-    if strategy == "fast":
-        return _verify_fast(params, mats, max_work)
-    if strategy == "reference":
-        return _verify_reference(params, mats, max_work)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    sweeps = {"fast": _verify_fast, "reference": _verify_reference}
+    if strategy not in sweeps:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    cond1, cond2 = sweeps[strategy](params, mats, max_work)
+    cond3 = None
+    for i, m in enumerate(mats):
+        k = left_kernel_vector(m)
+        if k is not None:
+            cond3 = RankViolation(block=i, kernel=k)
+            break
+    return _VerifyOutcome(cond1, cond2, cond3)
 
 
 def verify_sync(

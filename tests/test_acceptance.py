@@ -8,7 +8,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from editsync.bitlinalg import BitMatrix, BitVector, random_matrix
+from editsync.bitlinalg import BitMatrix, BitVector, codeword_table, random_matrix
 from editsync.codec import concat_encode, decode, derive_params, scan_windows
 from editsync.edit_metric import (
     EditBallQuery,
@@ -17,7 +17,7 @@ from editsync.edit_metric import (
     edit_distance,
     edit_distance_words,
 )
-from editsync.inner_code import _codeword_table, measure_list_decodability
+from editsync.inner_code import measure_list_decodability
 from editsync.outer_code import fold_symbols, outer_encode, unfold_symbols
 from editsync.pseudorandom import (
     BiasedGeneratorSpec,
@@ -300,7 +300,7 @@ def test_criterion_13_capacity_experiment_consistency():
     for trial in range(20):
         g = random_matrix(k, n, derive_seed("acc13", trial))
         fast, _ = measure_list_decodability(g, radius)
-        table = _codeword_table(g)
+        table = codeword_table(g)
         naive = 0
         for ln in range(n - radius, n + radius + 1):
             for w in range(1 << ln):

@@ -24,6 +24,19 @@ def bv(s: str) -> BitVector:
     return BitVector.from_string(s)
 
 
+def _all_matrices(a: int, b: int):
+    mask = (1 << b) - 1
+    for packed in range(1 << (a * b)):
+        yield BitMatrix(tuple((packed >> (i * b)) & mask for i in range(a)), b)
+
+
+def _span(rows) -> set[int]:
+    span = {0}
+    for r in rows:
+        span |= {v ^ r for v in span}
+    return span
+
+
 class TestBitVector:
     def test_string_round_trip(self):
         for s in ["", "0", "1", "0101", "111000"]:
@@ -165,6 +178,19 @@ class TestRowSpaceIntersection:
             assert count == 1 << len(basis)
 
 
+class TestRowSpaceBasis:
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    @pytest.mark.parametrize("b", [1, 2, 3, 4])
+    def test_spans_and_reduced_exhaustive(self, a, b):
+        for m in _all_matrices(a, b):
+            basis = row_space_basis(m)
+            assert _span(basis) == _span(m.rows)
+            pivots = [(r & -r).bit_length() - 1 for r in basis]
+            assert all(basis) and pivots == sorted(set(pivots))
+            for p in pivots:
+                assert sum((r >> p) & 1 for r in basis) == 1
+
+
 class TestSolveLeft:
     def test_identity(self):
         assert solve_left(BitMatrix.identity(3), bv("011")) == bv("011")
@@ -202,6 +228,25 @@ class TestLeftKernel:
         k = left_kernel_vector(m)
         assert k is not None and k.bits != 0
         assert mat_vec_mul(k, m).bits == 0
+
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    @pytest.mark.parametrize("b", [1, 2, 3, 4])
+    def test_first_dependency_witness_exhaustive(self, a, b):
+        # the witness is pinned: for the first row i in the span of the rows
+        # above it, the unique x with bit i set, no higher bits, and x*m = 0
+        for m in _all_matrices(a, b):
+            expected = None
+            for i in range(a):
+                sols = [
+                    x | (1 << i)
+                    for x in range(1 << i)
+                    if mat_vec_mul(BitVector(x | (1 << i), a), m).bits == 0
+                ]
+                if sols:
+                    assert len(sols) == 1
+                    expected = BitVector(sols[0], a)
+                    break
+            assert left_kernel_vector(m) == expected
 
 
 class TestRandomMatrix:

@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import editsync
 from editsync.bitlinalg import BitVector
 from editsync.cli import EXIT_CAP, EXIT_OK, EXIT_PRECONDITION, EXIT_REFUTED, main
 from editsync.codec import apply_edits, concat_encode, decode, random_edit_script
@@ -260,15 +263,15 @@ class TestErrors:
             "--outer", OUTER, "--received", "/nonexistent.txt",
         ) == EXIT_PRECONDITION
 
-    def test_threads_validated(self):
-        assert run_cli("--threads", "0", "ball", "--center", "0", "--radius", "0") == EXIT_PRECONDITION
-
 
 def test_console_entry_point_subprocess():
+    # the child imports the package under test, whether or not it is installed
+    src = str(Path(editsync.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "editsync.cli", "ball", "--center", "01", "--radius", "0"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "01"

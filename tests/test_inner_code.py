@@ -1,6 +1,13 @@
 import pytest
 
-from editsync.bitlinalg import BitMatrix, BitVector, random_matrix, rank, solve_left
+from editsync.bitlinalg import (
+    BitMatrix,
+    BitVector,
+    codeword_table,
+    random_matrix,
+    rank,
+    solve_left,
+)
 from editsync.codec import apply_edits, random_edit_script
 from editsync.edit_metric import EditBallQuery, ball_enumerate, edit_distance
 from editsync.inner_code import (
@@ -127,9 +134,7 @@ class TestMeasureListDecodability:
             g = random_matrix(k, n, derive_seed("naive", seed))
             fast, _ = measure_list_decodability(g, radius)
             # direct loop over every y and every message
-            from editsync.inner_code import _codeword_table
-
-            table = _codeword_table(g)
+            table = codeword_table(g)
             best = 0
             for ln in range(n - radius, n + radius + 1):
                 for w in range(1 << ln):

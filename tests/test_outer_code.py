@@ -100,6 +100,16 @@ def naive_recover(spec, boxes, alpha):
 
 
 class TestListRecover:
+    @pytest.mark.parametrize("kind", ["brute_force_linear", "reed_solomon"])
+    def test_symbols_wider_than_16_bits(self, kind):
+        spec = OuterCodeSpec(
+            symbol_bits=17, block_count=3, message_symbols=1, kind=kind,
+            recovery=RecoverySpec(alpha=Fraction(0), box_limit=1, list_limit=1),
+        )
+        msg = ((1 << 17) - 3,)
+        boxes = tuple(frozenset({s}) for s in outer_encode(spec, msg))
+        assert list_recover(spec, RecoveryInput(boxes=boxes, alpha=Fraction(0))) == [msg]
+
     def test_singleton_boxes_unique_decode(self):
         msg = (3, 1)
         cw = outer_encode(RS_GF4, msg)
