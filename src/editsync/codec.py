@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .bitlinalg import BitVector
 from .edit_metric import binary_entropy
+from .errors import CapExceeded
 from .inner_code import InnerCode, inner_encode, inner_list_decode
 from .outer_code import (
     OuterCodeSpec,
@@ -35,6 +36,10 @@ from .outer_code import (
 )
 from .rng import CounterRng
 from .sync import SyncSequence
+
+# Most stage-1 codeword comparisons (windows x blocks x nonzero codewords)
+# that decode starts; larger inputs raise CapExceeded up front.
+DECODE_WORK_CAP = 200_000_000
 
 
 def _floor(x: Fraction) -> int:
@@ -366,11 +371,22 @@ def decode(
     params: ConcatParams, sync: SyncSequence, outer: OuterCodeSpec, y: BitVector
 ) -> tuple[list[BitVector], DecodeReport]:
     """Window-scanning list decoder; returns candidate messages in
-    canonical ascending order plus an audit report."""
+    canonical ascending order plus an audit report.
+
+    Raises CapExceeded before scanning when the windows x blocks x
+    nonzero-codeword comparisons of stage 1 would exceed DECODE_WORK_CAP.
+    """
     per_block = _check_compat(params, sync, outer)
     if sync.params.radius < params.threshold:
         raise ValueError(
             "sync sequence is verified at a smaller radius than the decoding threshold"
+        )
+    windows = -(-y.n // params.window_step)
+    work = windows * params.n * ((1 << params.msg_bits) - 1)
+    if work > DECODE_WORK_CAP:
+        raise CapExceeded(
+            f"decoding needs {work} codeword comparisons, cap is {DECODE_WORK_CAP}",
+            required=work,
         )
     t0 = time.perf_counter()
     boxes, stats = scan_windows(sync, y, params.threshold, params.window_step)

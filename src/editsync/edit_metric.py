@@ -4,6 +4,12 @@ Distance counts single-bit insertions and deletions only (a substitution
 costs 2), so d_e(x, y) = |x| + |y| - 2*LCS(x, y).  Thresholds of the form
 "distance <= delta * n" are evaluated with exact rationals and floored to
 an integer radius by the caller.
+
+LCS lengths come from the bit-parallel Allison-Dix row recurrence.  The
+scalar ``_lcs_words`` compares one pair; it is the kernel of
+``edit_distance_words`` (and so of the reference sync verifier) and the
+test oracle for ``lcs_lanes``, which runs the same recurrence once for a
+whole set of equal-length words packed side by side into one integer.
 """
 
 from __future__ import annotations
@@ -43,6 +49,48 @@ def _lcs_words(xw: int, xn: int, yw: int, yn: int) -> int:
         row = s & ~(s - ((row << 1) | 1))
         yw >>= 1
     return row.bit_count()
+
+
+@dataclass(frozen=True)
+class LcsLanes:
+    """Words of one length ``xn`` packed into (xn + 1)-bit lanes, word i in
+    lane i.  Each lane's top bit is a guard set in the minuend of the
+    recurrence's subtraction.  Within a lane row is a subset of s, so the
+    subtrahend (row << 1) | 1 is at most s + 2^xn = s | guard: no borrow
+    leaves a lane, and the AND with s clears the guard again."""
+
+    xn: int
+    count: int
+    match: tuple[int, int]  # the lanes' positions holding a 0 / a 1
+    ones: int  # bit 0 of every lane
+    guard: int  # bit xn of every lane
+
+
+def pack_lanes(words, xn: int) -> LcsLanes:
+    """Lane constants for ``lcs_lanes`` over the given xn-bit words."""
+    width = xn + 1
+    ones = sum(1 << (i * width) for i in range(len(words)))
+    low = ones * ((1 << xn) - 1)
+    match1 = sum(w << (i * width) for i, w in enumerate(words))
+    if match1 & ~low:
+        raise ValueError(f"every packed word must fit in {xn} bits")
+    return LcsLanes(
+        xn=xn, count=len(words), match=(low & ~match1, match1), ones=ones, guard=ones << xn
+    )
+
+
+def lcs_lanes(lanes: LcsLanes, yw: int, yn: int) -> list[int]:
+    """LCS of (yw, yn) with every packed word, in packing order: one pass
+    of ``_lcs_words``'s recurrence over y's bits for all lanes at once."""
+    match0, match1 = lanes.match
+    ones, guard = lanes.ones, lanes.guard
+    row = 0
+    for _ in range(yn):
+        s = (match1 if yw & 1 else match0) | row
+        row = s & ~((s | guard) - ((row << 1) | ones))
+        yw >>= 1
+    width, mask = lanes.xn + 1, (1 << lanes.xn) - 1
+    return [((row >> (i * width)) & mask).bit_count() for i in range(lanes.count)]
 
 
 def edit_distance_words(xw: int, xn: int, yw: int, yn: int) -> int:

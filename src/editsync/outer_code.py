@@ -16,11 +16,11 @@ from functools import lru_cache
 import numpy as np
 
 from .bitlinalg import BitVector
-from .errors import ListBoundExceeded
+from .errors import CapExceeded, ListBoundExceeded
 from .pseudorandom import get_field
 from .rng import CounterRng
 
-MAX_SWEEP_MESSAGE_BITS = 24
+MAX_CODEBOOK_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -138,28 +138,32 @@ def outer_encode(spec: OuterCodeSpec, message: tuple[int, ...] | list[int]) -> t
     return tuple(out)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=4)
 def _codebook(spec: OuterCodeSpec) -> np.ndarray:
-    """(2^message_bits, block_count) table of all codewords, as uint16 up
-    to 16-bit symbols and uint32 beyond."""
-    if spec.message_bits > MAX_SWEEP_MESSAGE_BITS:
-        raise ValueError(
-            f"codeword sweep is guarded to {MAX_SWEEP_MESSAGE_BITS} message bits"
+    """All codewords, position-major: entry [j, m] is symbol j of the
+    codeword of packed message m, so the shape is (block_count,
+    2^message_bits).  Stored as uint16 up to 16-bit symbols and uint32
+    beyond.  Raises CapExceeded before building anything when the table
+    would hold more than MAX_CODEBOOK_ENTRIES entries.
+    """
+    entries = spec.block_count << spec.message_bits
+    if entries > MAX_CODEBOOK_ENTRIES:
+        raise CapExceeded(
+            f"outer codebook needs {entries} entries, cap is {MAX_CODEBOOK_ENTRIES}",
+            required=entries,
         )
     k, w = spec.message_symbols, spec.symbol_bits
     dtype = np.uint16 if w <= 16 else np.uint32
-    size = 1 << spec.message_bits
-    book = np.zeros((size, spec.block_count), dtype=dtype)
+    book = np.zeros((spec.block_count, 1 << spec.message_bits), dtype=dtype)
     # build by linearity: XOR single-symbol contributions along each axis
     for i in range(k):
         stride = 1 << (i * w)
         for m in range(1, 1 << w):
             msg = [0] * k
             msg[i] = m
-            row = np.array(outer_encode(spec, msg), dtype=dtype)
+            column = np.array(outer_encode(spec, msg), dtype=dtype)[:, None]
             base = m * stride
-            lower = book[:stride]
-            book[base : base + stride] = lower ^ row
+            book[:, base : base + stride] = book[:, :stride] ^ column
     return book
 
 
@@ -212,9 +216,12 @@ def list_recover(spec: OuterCodeSpec, inp: RecoveryInput) -> list[tuple[int, ...
     for j, box in enumerate(inp.boxes):
         for s in box:
             member[j, s] = True
-    agree = member[np.arange(n)[None, :], book]
-    disagreements = (~agree).sum(axis=1)
-    qualifying = np.nonzero(disagreements <= budget)[0]
+    # agree[m] counts the positions where message m's codeword symbol lies
+    # in the candidate set; the dtype holds block_count
+    agree = np.zeros(book.shape[1], dtype=np.min_scalar_type(n))
+    for j in range(n):
+        agree += member[j].take(book[j])
+    qualifying = np.nonzero(agree >= n - budget)[0]
     if len(qualifying) > spec.recovery.list_limit:
         raise ListBoundExceeded(
             f"{len(qualifying)} codewords qualify, limit is {spec.recovery.list_limit}"

@@ -2,12 +2,17 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from editsync.codec import ConcatParams
 from editsync.outer_code import OuterCodeSpec
 from editsync.sync import SyncParams, SyncSequence
+
+# Tier-1 runs draw the same hypothesis examples on every run.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = REPO_ROOT / "fixtures" / "desk_profile"

@@ -257,6 +257,30 @@ class TestErrors:
     def test_bad_rational(self):
         assert run_cli("params", "--gamma", "1/8", "--n", "64") == EXIT_PRECONDITION
 
+    def test_decode_over_work_cap(self, tmp_path, capsys):
+        rx_file = tmp_path / "rx.txt"
+        rx_file.write_text("0" * 2_000_000 + "\n")
+        assert run_cli(
+            "decode", "--params", PARAMS, "--sync", SYNC, "--outer", OUTER,
+            "--received", str(rx_file),
+        ) == EXIT_CAP
+        err = capsys.readouterr().err
+        assert "resource cap exceeded" in err and "Traceback" not in err
+
+    def test_recover_over_codebook_cap(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({
+            "symbol_bits": 24, "block_count": 3, "message_symbols": 1,
+            "recovery": {"alpha": "0", "box_limit": 1, "list_limit": 1},
+        }))
+        boxes_file = tmp_path / "boxes.json"
+        boxes_file.write_text(json.dumps([["1"], ["1"], ["1"]]))
+        assert run_cli(
+            "recover", "--spec", str(spec_file), "--boxes", str(boxes_file), "--alpha", "0",
+        ) == EXIT_CAP
+        err = capsys.readouterr().err
+        assert "resource cap exceeded" in err and "Traceback" not in err
+
     def test_missing_file(self):
         assert run_cli(
             "decode", "--params", "/nonexistent.json", "--sync", SYNC,

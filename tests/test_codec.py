@@ -1,8 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from editsync.bitlinalg import BitVector
+from editsync import codec
 from editsync.codec import (
     ConcatParams,
     EditOp,
@@ -17,6 +19,7 @@ from editsync.codec import (
     window_plan,
 )
 from editsync.edit_metric import binary_entropy, edit_distance
+from editsync.errors import CapExceeded
 from editsync.rng import CounterRng
 
 
@@ -289,6 +292,20 @@ class TestDecode:
         )
         with pytest.raises(ValueError, match="radius"):
             decode(params, desk_sync, desk_outer, BitVector.zeros(8))
+
+    def test_work_cap_checked_before_scanning(
+        self, monkeypatch, desk_params, desk_sync, desk_outer
+    ):
+        def no_scan(*args):
+            raise AssertionError("scanned past the work cap")
+
+        monkeypatch.setattr(codec, "scan_windows", no_scan)
+        y = BitVector(0, 2_000_000)
+        t0 = time.perf_counter()
+        with pytest.raises(CapExceeded) as info:
+            decode(desk_params, desk_sync, desk_outer, y)
+        assert time.perf_counter() - t0 < 1.0
+        assert info.value.required == 2_000_000 * 8 * 15 > codec.DECODE_WORK_CAP
 
 
 class TestOverallRate:

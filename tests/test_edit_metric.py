@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 from editsync.bitlinalg import BitVector
 from editsync.edit_metric import (
     EditBallQuery,
+    _lcs_words,
     ball_enumerate,
     ball_membership,
     binary_entropy,
     check_ball_size_bound,
     edit_distance,
     fixed_length_ball_size,
+    lcs_lanes,
+    pack_lanes,
 )
 from editsync.errors import CapExceeded
 from editsync.rng import CounterRng
@@ -96,6 +99,28 @@ class TestEditDistance:
                 vs.append(BitVector(rng.bits(n), n))
             x, y, z = vs
             assert edit_distance(x, z) <= edit_distance(x, y) + edit_distance(y, z)
+
+
+class TestLcsLanes:
+    @given(
+        st.integers(0, 63).flatmap(
+            lambda xn: st.tuples(
+                st.just(xn), st.lists(st.integers(0, (1 << xn) - 1), min_size=1, max_size=16)
+            )
+        ),
+        st.integers(0, 70).flatmap(
+            lambda yn: st.tuples(st.integers(0, (1 << yn) - 1), st.just(yn))
+        ),
+    )
+    def test_matches_scalar_oracle(self, xs, y):
+        xn, words = xs
+        yw, yn = y
+        got = lcs_lanes(pack_lanes(words, xn), yw, yn)
+        assert got == [_lcs_words(w, xn, yw, yn) for w in words]
+
+    def test_word_wider_than_lane_rejected(self):
+        with pytest.raises(ValueError):
+            pack_lanes([1, 8], 3)
 
 
 class TestBallMembership:

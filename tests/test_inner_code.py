@@ -8,8 +8,13 @@ from editsync.bitlinalg import (
     rank,
     solve_left,
 )
-from editsync.codec import apply_edits, random_edit_script
-from editsync.edit_metric import EditBallQuery, ball_enumerate, edit_distance
+from editsync.codec import apply_edits, concat_encode, random_edit_script, window_plan
+from editsync.edit_metric import (
+    EditBallQuery,
+    ball_enumerate,
+    edit_distance,
+    edit_distance_words,
+)
 from editsync.inner_code import (
     InnerCode,
     capacity_experiment,
@@ -90,6 +95,42 @@ class TestInnerListDecode:
             r = rng.randbelow(3)
             y = apply_edits(c, random_edit_script(c, r, ("sound", trial)))
             assert x in inner_list_decode(code, y, r)
+
+
+def scalar_list_decode(code: InnerCode, y: BitVector, radius: int) -> set[BitVector]:
+    """One scalar edit distance per nonzero codeword."""
+    a, b = code.msg_bits, code.block_bits
+    if y.n > b + radius or y.n < b - radius:
+        return set()
+    table = codeword_table(code.mat)
+    return {
+        BitVector(x, a)
+        for x in range(1, 1 << a)
+        if edit_distance_words(table[x], b, y.bits, y.n) <= radius
+    }
+
+
+class TestListDecodeMatchesScalar:
+    def test_every_window_of_corrupted_desk_codewords(
+        self, desk_params, desk_sync, desk_outer
+    ):
+        codes = [InnerCode(mat=m, index=j) for j, m in enumerate(desk_sync.mats)]
+        rng = CounterRng("lanes-vs-scalar")
+        hits = 0
+        for trial in range(3):
+            msg = BitVector(rng.bits(desk_outer.message_bits), desk_outer.message_bits)
+            cw = concat_encode(desk_params, desk_sync, desk_outer, msg).bits
+            y = apply_edits(cw, random_edit_script(cw, 1 + trial, ("lanes", trial)))
+            plan = window_plan(desk_params, y.n)
+            assert plan[-1][1] - plan[-1][0] < desk_params.block_bits  # truncated tail
+            for s, e in plan:
+                window = y[s:e]
+                for code in codes:
+                    for radius in range(5):
+                        want = scalar_list_decode(code, window, radius)
+                        assert inner_list_decode(code, window, radius) == want
+                        hits += len(want)
+        assert hits > 0
 
 
 class TestVerifiedSequenceListBound:

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from editsync.bitlinalg import BitVector
-from editsync.errors import ListBoundExceeded
+from editsync import outer_code
+from editsync.errors import CapExceeded, ListBoundExceeded
 from editsync.outer_code import (
     OuterCodeSpec,
     RecoveryInput,
@@ -174,6 +177,47 @@ class TestListRecover:
             )
             got = list_recover(spec, RecoveryInput(boxes=boxes, alpha=Fraction(2, 5)))
             assert got == naive_recover(spec, boxes, Fraction(2, 5))
+
+    def test_matches_naive_on_random_desk_boxes(self, desk_outer):
+        rng = CounterRng("naive-recover-desk")
+        width = 1 << desk_outer.symbol_bits
+        for _ in range(2):
+            boxes = tuple(
+                frozenset(
+                    rng.randbelow(width)
+                    for _ in range(rng.randbelow(desk_outer.recovery.box_limit + 1))
+                )
+                for _ in range(desk_outer.block_count)
+            )
+            alpha = desk_outer.recovery.alpha
+            got = list_recover(desk_outer, RecoveryInput(boxes=boxes, alpha=alpha))
+            assert got == naive_recover(desk_outer, boxes, alpha)
+
+    def test_agreement_count_above_255(self):
+        # the per-message agreement counter must hold block_count
+        spec = OuterCodeSpec(
+            symbol_bits=1, block_count=300, message_symbols=2,
+            recovery=RecoverySpec(alpha=Fraction(0), box_limit=1, list_limit=1),
+        )
+        boxes = tuple(frozenset({s}) for s in outer_encode(spec, (1, 0)))
+        assert list_recover(spec, RecoveryInput(boxes=boxes, alpha=Fraction(0))) == [(1, 0)]
+
+    def test_codebook_cap_checked_before_building(self, monkeypatch):
+        spec = OuterCodeSpec(
+            symbol_bits=24, block_count=3, message_symbols=1,
+            recovery=RecoverySpec(alpha=Fraction(0), box_limit=1, list_limit=1),
+        )
+
+        def no_encoding(*args):
+            raise AssertionError("codebook built past its cap")
+
+        monkeypatch.setattr(outer_code, "outer_encode", no_encoding)
+        boxes = (frozenset({1}),) * 3
+        t0 = time.perf_counter()
+        with pytest.raises(CapExceeded) as info:
+            list_recover(spec, RecoveryInput(boxes=boxes, alpha=Fraction(0)))
+        assert time.perf_counter() - t0 < 1.0
+        assert info.value.required == 3 << 24
 
     def test_rs_alpha_zero_is_classical_decoding(self):
         msg = (2, 3)
