@@ -151,7 +151,15 @@ class BitMatrix:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "BitMatrix":
+    def from_json(cls, obj) -> "BitMatrix":
+        if not (
+            isinstance(obj, dict)
+            and type(obj.get("a")) is int
+            and type(obj.get("b")) is int
+            and isinstance(obj.get("rows"), list)
+            and all(isinstance(s, str) for s in obj["rows"])
+        ):
+            raise ValueError(f"bit matrix needs integers a, b and hex-string rows, got {obj!r}")
         rows = tuple(int(s, 16) for s in obj["rows"])
         if len(rows) != obj["a"]:
             raise ValueError("row count disagrees with 'a'")

@@ -208,6 +208,11 @@ def _cmd_decode(args) -> int:
 def _cmd_recover(args) -> int:
     outer = OuterCodeSpec.from_json(_read_json(args.spec))
     raw = _read_json(args.boxes)
+    if not (
+        isinstance(raw, list)
+        and all(isinstance(box, list) and all(isinstance(s, str) for s in box) for box in raw)
+    ):
+        raise ValueError("boxes must be an array of arrays of hex strings")
     boxes = tuple(frozenset(int(s, 16) for s in box) for box in raw)
     messages = list_recover(outer, RecoveryInput(boxes=boxes, alpha=args.alpha))
     obj = {

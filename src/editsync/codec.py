@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bitlinalg import BitVector
@@ -34,6 +34,7 @@ from .outer_code import (
     outer_encode,
     unfold_symbols,
 )
+from .records import Record
 from .rng import CounterRng
 from .sync import SyncSequence
 
@@ -75,7 +76,7 @@ def _derived_fields(gamma: Fraction, n: int) -> dict:
 
 
 @dataclass(frozen=True)
-class ConcatParams:
+class ConcatParams(Record):
     """Full parameter bundle for one concatenated-code instance.
 
     ``derived`` instances come out of derive_params and are re-checked
@@ -124,81 +125,32 @@ class ConcatParams:
                         f"derived-mode field {name} disagrees with the formulas"
                     )
 
-    def to_json(self) -> dict:
-        obj = {
-            "mode": self.mode,
-            "n": self.n,
-            "msg_bits": self.msg_bits,
-            "block_bits": self.block_bits,
-            "overlap_limit": self.overlap_limit,
-            "list_limit": self.list_limit,
-            "box_limit": self.box_limit,
-            "window_step": self.window_step,
-            "threshold": self.threshold,
-            "edit_budget": self.edit_budget,
-        }
-        if self.gamma is not None:
-            obj["gamma"] = str(self.gamma)
-        if self.delta is not None:
-            obj["delta"] = str(self.delta)
-        return obj
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ConcatParams":
-        return cls(
-            mode=obj["mode"],
-            n=obj["n"],
-            msg_bits=obj["msg_bits"],
-            block_bits=obj["block_bits"],
-            overlap_limit=obj["overlap_limit"],
-            list_limit=obj["list_limit"],
-            box_limit=obj["box_limit"],
-            window_step=obj["window_step"],
-            threshold=obj["threshold"],
-            edit_budget=obj["edit_budget"],
-            gamma=Fraction(obj["gamma"]) if "gamma" in obj else None,
-            delta=Fraction(obj["delta"]) if "delta" in obj else None,
-        )
-
 
 @dataclass(frozen=True)
-class DeriveReport:
-    """Evaluation of the derivation formulas at a given corruption rate."""
+class DeriveReport(Record):
+    """Evaluation of the derivation formulas at a given corruption rate.
+
+    The list and box limits grow like 2^(1/gamma), so the JSON form carries
+    log2 of the list limit and the digit count of the box limit instead.
+    """
 
     gamma: Fraction
     n: int
     delta: Fraction
     overlap_limit: int
-    list_limit: int
+    list_limit: int = field(
+        metadata={"key": "list_limit_log2", "encode": lambda v: v.bit_length() - 1}
+    )
     inner_rate: float
     block_bits: int
     msg_bits: int
-    box_limit: int
+    box_limit: int = field(metadata={"key": "box_limit_digits", "encode": lambda v: len(str(v))})
     window_step: int
     threshold: int
     edit_budget: int
     rate_lower_bound: float
     feasible: bool
     params: ConcatParams | None
-
-    def to_json(self) -> dict:
-        return {
-            "gamma": str(self.gamma),
-            "n": self.n,
-            "delta": str(self.delta),
-            "overlap_limit": self.overlap_limit,
-            "list_limit_log2": self.overlap_limit + 1,
-            "inner_rate": self.inner_rate,
-            "block_bits": self.block_bits,
-            "msg_bits": self.msg_bits,
-            "box_limit_digits": len(str(self.box_limit)),
-            "window_step": self.window_step,
-            "threshold": self.threshold,
-            "edit_budget": self.edit_budget,
-            "rate_lower_bound": self.rate_lower_bound,
-            "feasible": self.feasible,
-            "params": self.params.to_json() if self.params is not None else None,
-        }
 
 
 def derive_params(gamma, n: int, c1: float = 1.0) -> DeriveReport:
@@ -289,7 +241,7 @@ def _windows(width: int, step: int, length: int) -> list[tuple[int, int]]:
 
 
 @dataclass(frozen=True)
-class WindowStat:
+class WindowStat(Record):
     start: int
     end: int
     blocks_hit: tuple[tuple[int, int], ...]  # (block index, vectors inserted)
@@ -304,13 +256,19 @@ class WindowStat:
 
 
 @dataclass(frozen=True)
-class DecodeReport:
+class DecodeReport(Record):
     windows: tuple[WindowStat, ...]
     box_sizes: tuple[int, ...]  # after stage 1 plus the zero vector
     emptied: tuple[int, ...]
     recovered: int
     stage1_seconds: float
     stage2_seconds: float
+
+    json_properties = (
+        "max_distinct_blocks_per_window",
+        "max_vectors_per_block_window",
+        "total_nonzero_insertions",
+    )
 
     @property
     def max_distinct_blocks_per_window(self) -> int:
@@ -323,22 +281,6 @@ class DecodeReport:
     @property
     def total_nonzero_insertions(self) -> int:
         return sum(c for w in self.windows for _, c in w.blocks_hit)
-
-    def to_json(self) -> dict:
-        return {
-            "windows": [
-                {"start": w.start, "end": w.end, "blocks_hit": [list(h) for h in w.blocks_hit]}
-                for w in self.windows
-            ],
-            "box_sizes": list(self.box_sizes),
-            "emptied": list(self.emptied),
-            "recovered": self.recovered,
-            "stage1_seconds": self.stage1_seconds,
-            "stage2_seconds": self.stage2_seconds,
-            "max_distinct_blocks_per_window": self.max_distinct_blocks_per_window,
-            "max_vectors_per_block_window": self.max_vectors_per_block_window,
-            "total_nonzero_insertions": self.total_nonzero_insertions,
-        }
 
 
 def scan_windows(
@@ -440,27 +382,23 @@ class EditOp:
     def to_json(self) -> list:
         return ["delete", self.pos] if self.kind == "delete" else ["insert", self.pos, self.bit]
 
+    @classmethod
+    def from_json(cls, raw) -> "EditOp":
+        arity = 2 if isinstance(raw, list) and raw[:1] == ["delete"] else 3
+        if not isinstance(raw, list) or len(raw) != arity or type(raw[1]) is not int:
+            raise ValueError(f"malformed edit op {raw!r}")
+        return cls(*raw)
+
 
 @dataclass(frozen=True)
-class EditScript:
+class EditScript(Record):
     ops: tuple[EditOp, ...]
+
+    json_properties = ("cost",)
 
     @property
     def cost(self) -> int:
         return len(self.ops)
-
-    def to_json(self) -> dict:
-        return {"ops": [op.to_json() for op in self.ops], "cost": self.cost}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EditScript":
-        ops = []
-        for raw in obj["ops"]:
-            if raw[0] == "delete":
-                ops.append(EditOp("delete", raw[1]))
-            else:
-                ops.append(EditOp("insert", raw[1], raw[2]))
-        return cls(ops=tuple(ops))
 
 
 def apply_edits(x: BitVector, script: EditScript) -> BitVector:
@@ -502,19 +440,11 @@ def random_edit_script(x: BitVector, budget: int, rng_seed) -> EditScript:
 
 
 @dataclass(frozen=True)
-class RateReport:
+class RateReport(Record):
     achieved: Fraction
     message_bits: int
     codeword_bits: int
     asymptotic_lower_bound: float | None
-
-    def to_json(self) -> dict:
-        return {
-            "achieved": str(self.achieved),
-            "message_bits": self.message_bits,
-            "codeword_bits": self.codeword_bits,
-            "asymptotic_lower_bound": self.asymptotic_lower_bound,
-        }
 
 
 def overall_rate(params: ConcatParams, outer: OuterCodeSpec, c1: float = 1.0) -> RateReport:

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .bitlinalg import BitVector
 from .errors import CapExceeded
+from .records import Record
 from .rng import CounterRng
 
 DEFAULT_BALL_CAP = 1 << 24
@@ -172,7 +173,7 @@ def ball_enumerate(q: EditBallQuery, cap: int = DEFAULT_BALL_CAP) -> set[BitVect
 
 
 @dataclass(frozen=True)
-class BallSizeReport:
+class BallSizeReport(Record):
     n: int
     delta: Fraction
     radius: int
@@ -181,18 +182,6 @@ class BallSizeReport:
     max_center: BitVector | None
     bound: float
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "delta": str(self.delta),
-            "radius": self.radius,
-            "trials": self.trials,
-            "max_ball_size": self.max_ball_size,
-            "max_center": str(self.max_center) if self.max_center is not None else None,
-            "bound": self.bound,
-            "passed": self.passed,
-        }
 
 
 def fixed_length_ball_size(center: BitVector, radius: int, n: int) -> int:

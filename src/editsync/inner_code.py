@@ -16,17 +16,20 @@ from .bitlinalg import (
     random_matrix,
     rank,
 )
-# edit_distance_words is unused here but stays part of this module's
-# namespace: perfbench's tracer wraps inner_code.edit_distance_words.
+# ball_words and edit_distance_words are unused here but stay part of this
+# module's namespace: perfbench's tracer wraps inner_code.ball_words and
+# inner_code.edit_distance_words.
 from .edit_metric import (
     LcsLanes,
-    ball_words,
+    ball_words,  # noqa: F401
     binary_entropy,
     edit_distance_words,  # noqa: F401
     lcs_lanes,
     pack_lanes,
 )
+from .records import Record
 from .rng import derive_seed
+from .sync import _ball_masks
 
 
 @dataclass(frozen=True)
@@ -82,26 +85,23 @@ def measure_list_decodability(g: BitMatrix, radius: int) -> tuple[int, BitVector
     """Worst-case list size of the code generated by g at the given radius,
     with a string attaining it.
 
-    Aggregates the edit balls around all 2^k codewords; candidate strings
-    outside every ball have list size 0 and need no visit.
+    The list size of a string is the popcount of its message mask over the
+    edit balls around all 2^k codewords; strings outside every ball have
+    list size 0 and need no visit.
     """
     k, n = g.dims
     if k > 16 or n > 16:
         raise ValueError("exhaustive regime is guarded to k <= 16, n <= 16")
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    table = codeword_table(g)
-    counts: dict[tuple[int, int], int] = {}
-    for x in range(1 << k):
-        for key in ball_words(table[x], n, radius):
-            counts[key] = counts.get(key, 0) + 1
-    best = max(counts.values())
-    ln, w = min(key for key, c in counts.items() if c == best)
+    masks = _ball_masks(g, radius)
+    best = max(m.bit_count() for m in masks.values())
+    ln, w = min(key for key, m in masks.items() if m.bit_count() == best)
     return best, BitVector(w, ln)
 
 
 @dataclass(frozen=True)
-class CapacityReport:
+class CapacityReport(Record):
     k: int
     n: int
     radius: int
@@ -117,25 +117,6 @@ class CapacityReport:
     rate_condition_met: bool | None
     vacuous: bool
     max_list_histogram: dict[int, int]
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "radius": self.radius,
-            "trials": self.trials,
-            "list_bound": self.list_bound,
-            "seed": self.seed,
-            "failures": self.failures,
-            "empirical_failure": self.empirical_failure,
-            "lemma_bound": self.lemma_bound,
-            "delta": self.delta,
-            "epsilon_implied": self.epsilon_implied,
-            "rate_threshold": self.rate_threshold,
-            "rate_condition_met": self.rate_condition_met,
-            "vacuous": self.vacuous,
-            "max_list_histogram": {str(k): v for k, v in sorted(self.max_list_histogram.items())},
-        }
 
 
 def capacity_experiment(

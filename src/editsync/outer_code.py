@@ -9,7 +9,7 @@ than truncating when more codewords qualify than the configured bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -18,13 +18,14 @@ import numpy as np
 from .bitlinalg import BitVector
 from .errors import CapExceeded, ListBoundExceeded
 from .pseudorandom import get_field
+from .records import Record
 from .rng import CounterRng
 
 MAX_CODEBOOK_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
-class RecoverySpec:
+class RecoverySpec(Record):
     alpha: Fraction  # allowed disagreement fraction
     box_limit: int  # max candidates per position (l0)
     list_limit: int  # max recovered messages (L0)
@@ -38,13 +39,13 @@ class RecoverySpec:
 
 
 @dataclass(frozen=True)
-class OuterCodeSpec:
+class OuterCodeSpec(Record):
     symbol_bits: int
     block_count: int
     message_symbols: int
-    recovery: RecoverySpec
     kind: str = "brute_force_linear"  # or "reed_solomon"
     seed: int = 0  # selects the systematic generator for brute_force_linear
+    recovery: RecoverySpec = field(kw_only=True)
 
     def __post_init__(self):
         if self.symbol_bits < 1:
@@ -59,36 +60,6 @@ class OuterCodeSpec:
     @property
     def message_bits(self) -> int:
         return self.message_symbols * self.symbol_bits
-
-    def to_json(self) -> dict:
-        return {
-            "symbol_bits": self.symbol_bits,
-            "block_count": self.block_count,
-            "message_symbols": self.message_symbols,
-            "kind": self.kind,
-            "seed": self.seed,
-            "recovery": {
-                "alpha": str(self.recovery.alpha),
-                "box_limit": self.recovery.box_limit,
-                "list_limit": self.recovery.list_limit,
-            },
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "OuterCodeSpec":
-        rec = obj["recovery"]
-        return cls(
-            symbol_bits=obj["symbol_bits"],
-            block_count=obj["block_count"],
-            message_symbols=obj["message_symbols"],
-            kind=obj.get("kind", "brute_force_linear"),
-            seed=obj.get("seed", 0),
-            recovery=RecoverySpec(
-                alpha=Fraction(rec["alpha"]),
-                box_limit=rec["box_limit"],
-                list_limit=rec["list_limit"],
-            ),
-        )
 
 
 @lru_cache(maxsize=64)

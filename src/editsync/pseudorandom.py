@@ -272,16 +272,6 @@ class XorLemmaReport:
     bias: Fraction
     passed: bool
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "num_outputs": self.num_outputs,
-            "statistical_distance": str(self.distance),
-            "measured_bias": str(self.bias),
-            "bound": f"bias * 2^({self.n}/2)",
-            "passed": self.passed,
-        }
-
 
 def xor_lemma_report(outputs, n: int) -> XorLemmaReport:
     """Exact statistical distance from uniform vs. the bias * 2^(n/2) bound.

@@ -35,13 +35,14 @@ from .bitlinalg import (
 from .edit_metric import ball_words, edit_distance_words
 from .errors import CapExceeded
 from .pseudorandom import BiasedGeneratorSpec, KWiseSamplerSpec, eps_biased_expand, kwise_sample
+from .records import Record
 from .rng import derive_seed
 
 DEFAULT_VERIFY_CAP = 200_000_000
 
 
 @dataclass(frozen=True)
-class SyncParams:
+class SyncParams(Record):
     """Parameters of a sync sequence; ``delta`` is an exact rational and
     the working radius is floor(delta * block_bits)."""
 
@@ -68,101 +69,45 @@ class SyncParams:
         r = self.delta * self.block_bits
         return r.numerator // r.denominator
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "msg_bits": self.msg_bits,
-            "block_bits": self.block_bits,
-            "delta": str(self.delta),
-            "overlap_limit": self.overlap_limit,
-            "list_limit": self.list_limit,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SyncParams":
-        return cls(
-            n=obj["n"],
-            msg_bits=obj["msg_bits"],
-            block_bits=obj["block_bits"],
-            delta=Fraction(obj["delta"]),
-            overlap_limit=obj["overlap_limit"],
-            list_limit=obj["list_limit"],
-        )
-
 
 @dataclass(frozen=True)
-class AlignmentViolation:
+class AlignmentViolation(Record):
     """More than overlap_limit distinct blocks reach the same target."""
 
+    kind: str = field(default="condition1", init=False)
     target: BitVector
     hits: tuple[tuple[int, BitVector], ...]  # (block index, nonzero message)
-    kind: str = "condition1"
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "target": str(self.target),
-            "hits": [[i, str(x)] for i, x in self.hits],
-        }
 
 
 @dataclass(frozen=True)
-class ListSizeViolation:
+class ListSizeViolation(Record):
     """A single block decodes more than list_limit messages at one target."""
 
+    kind: str = field(default="condition2", init=False)
     block: int
     target: BitVector
     messages: tuple[BitVector, ...]
-    kind: str = "condition2"
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "block": self.block,
-            "target": str(self.target),
-            "messages": [str(x) for x in self.messages],
-        }
 
 
 @dataclass(frozen=True)
-class RankViolation:
+class RankViolation(Record):
     """A matrix with a nonzero left kernel vector."""
 
+    kind: str = field(default="condition3", init=False)
     block: int
     kernel: BitVector
-    kind: str = "condition3"
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "block": self.block, "kernel": str(self.kernel)}
 
 
 SyncViolation = AlignmentViolation | ListSizeViolation | RankViolation
 
 
-def violation_from_json(obj: dict) -> SyncViolation:
-    kind = obj["kind"]
-    if kind == "condition1":
-        return AlignmentViolation(
-            target=BitVector.from_string(obj["target"]),
-            hits=tuple((i, BitVector.from_string(x)) for i, x in obj["hits"]),
-        )
-    if kind == "condition2":
-        return ListSizeViolation(
-            block=obj["block"],
-            target=BitVector.from_string(obj["target"]),
-            messages=tuple(BitVector.from_string(x) for x in obj["messages"]),
-        )
-    if kind == "condition3":
-        return RankViolation(
-            block=obj["block"], kernel=BitVector.from_string(obj["kernel"])
-        )
-    raise ValueError(f"unknown violation kind {kind!r}")
-
-
 @dataclass(frozen=True)
-class SyncSequence:
+class SyncSequence(Record):
+    """A sequence file holds the content hash after ``status``; reading
+    refuses a file whose hash is missing or disagrees with its content."""
+
     params: SyncParams
-    mats: tuple[BitMatrix, ...]
+    mats: tuple[BitMatrix, ...] = field(metadata={"key": "matrices"})
     status: str = "unverified"  # unverified | verified | refuted
     violation: SyncViolation | None = None
     seed: int | None = None
@@ -189,32 +134,15 @@ class SyncSequence:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def to_json(self) -> dict:
-        obj = {
-            "params": self.params.to_json(),
-            "matrices": [m.to_json() for m in self.mats],
-            "status": self.status,
-            "hash": self.content_hash(),
-        }
-        if self.violation is not None:
-            obj["violation"] = self.violation.to_json()
-        if self.seed is not None:
-            obj["seed"] = self.seed
-        if self.attempts is not None:
-            obj["attempts"] = self.attempts
-        return obj
+        items = list(super().to_json().items())
+        items.insert(3, ("hash", self.content_hash()))
+        return dict(items)
 
     @classmethod
-    def from_json(cls, obj: dict) -> "SyncSequence":
-        seq = cls(
-            params=SyncParams.from_json(obj["params"]),
-            mats=tuple(BitMatrix.from_json(m) for m in obj["matrices"]),
-            status=obj["status"],
-            violation=violation_from_json(obj["violation"]) if "violation" in obj else None,
-            seed=obj.get("seed"),
-            attempts=obj.get("attempts"),
-        )
-        if obj.get("hash") and seq.content_hash() != obj["hash"]:
-            raise ValueError("content hash mismatch; refusing tampered sequence file")
+    def from_json(cls, obj) -> "SyncSequence":
+        seq = super().from_json(obj)
+        if obj.get("hash") != seq.content_hash():
+            raise ValueError("content hash missing or mismatched; refusing tampered sequence file")
         return seq
 
 
@@ -277,14 +205,7 @@ class _VerifyOutcome:
     condition3: RankViolation | None
 
     def violated_kinds(self) -> list[str]:
-        kinds = []
-        if self.condition1 is not None:
-            kinds.append("condition1")
-        if self.condition2 is not None:
-            kinds.append("condition2")
-        if self.condition3 is not None:
-            kinds.append("condition3")
-        return kinds
+        return [v.kind for v in (self.condition1, self.condition2, self.condition3) if v]
 
     def first(self) -> SyncViolation | None:
         # canonical priority: rank failures, then alignment, then list size
@@ -442,19 +363,11 @@ def verify_sync(
 
 
 @dataclass(frozen=True)
-class SampleFailure:
+class SampleFailure(Record):
     params: SyncParams
     seed: int
     attempts: int
     condition_tallies: dict[str, int] = field(hash=False, default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "params": self.params.to_json(),
-            "seed": self.seed,
-            "attempts": self.attempts,
-            "condition_tallies": dict(self.condition_tallies),
-        }
 
 
 def sample_sync(
@@ -584,13 +497,6 @@ class RateBoundReport:
     ratio: Fraction
     ceiling: Fraction
     dimension_ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "ratio": str(self.ratio),
-            "ceiling": str(self.ceiling),
-            "dimension_ok": self.dimension_ok,
-        }
 
 
 def sync_rate_bound(params: SyncParams) -> RateBoundReport:

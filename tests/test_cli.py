@@ -1,15 +1,19 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import editsync
-from editsync.bitlinalg import BitVector
+from editsync.bitlinalg import BitMatrix, BitVector
 from editsync.cli import EXIT_CAP, EXIT_OK, EXIT_PRECONDITION, EXIT_REFUTED, main
 from editsync.codec import apply_edits, concat_encode, decode, random_edit_script
+from editsync.sync import AlignmentViolation, ListSizeViolation, SyncSequence, sample_sync
 
-from conftest import FIXTURE_DIR, validate_against_schema
+from conftest import FIXTURE_DIR, REPO_ROOT, SCHEMA_DIR, validate_against_schema
 
 PARAMS = str(FIXTURE_DIR / "concat_params.json")
 SYNC = str(FIXTURE_DIR / "sync_sequence.json")
@@ -20,6 +24,34 @@ MESSAGE = "1011001110001111"
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def fixture_doc(name: str):
+    return json.loads((FIXTURE_DIR / name).read_text())
+
+
+def key_order_breaks(obj, schema: dict, path: str = "$") -> list[str]:
+    """Paths of the objects inside ``obj`` whose keys leave the order of
+    their schema's ``properties``; ``$ref``, ``oneOf`` and ``anyOf`` are
+    followed to the branch whose properties hold every key."""
+    if "$ref" in schema:
+        schema = json.loads((SCHEMA_DIR / schema["$ref"]).read_text())
+    for branch in schema.get("oneOf", []) + schema.get("anyOf", []):
+        if "$ref" in branch:
+            branch = json.loads((SCHEMA_DIR / branch["$ref"]).read_text())
+        if isinstance(obj, dict) and set(obj) <= set(branch.get("properties", {})):
+            schema = branch
+    breaks = []
+    if isinstance(obj, dict) and "properties" in schema:
+        props = schema["properties"]
+        if list(obj) != [k for k in props if k in obj]:
+            breaks.append(path)
+        for k, v in obj.items():
+            breaks += key_order_breaks(v, props.get(k, {}), f"{path}.{k}")
+    elif isinstance(obj, list) and "items" in schema:
+        for i, v in enumerate(obj):
+            breaks += key_order_breaks(v, schema["items"], f"{path}[{i}]")
+    return breaks
 
 
 class TestBall:
@@ -281,11 +313,131 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "resource cap exceeded" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "doc, argv",
+        [
+            ({**fixture_doc("concat_params.json"), "n": "8"}, ["rate", "--params", "BAD", "--outer", OUTER]),
+            ([1, 2], ["rate", "--params", "BAD", "--outer", OUTER]),
+            (
+                {**fixture_doc("sync_params.json"), "delta": None},
+                ["sync", "verify", "--params", "BAD", "--sequence", SYNC],
+            ),
+            ({**fixture_doc("outer_spec.json"), "recovery": [1]}, ["rate", "--params", PARAMS, "--outer", "BAD"]),
+            ([[1, 2], [3]], ["recover", "--spec", OUTER, "--boxes", "BAD", "--alpha", "0"]),
+            (
+                {**fixture_doc("sync_sequence.json"), "matrices": [1]},
+                ["sync", "verify", "--params", SYNC_PARAMS, "--sequence", "BAD"],
+            ),
+        ],
+        ids=[
+            "string-block-count", "array-params", "null-delta", "array-recovery",
+            "integer-box-symbols", "integer-matrix",
+        ],
+    )
+    def test_malformed_input_exits_2(self, tmp_path, capsys, doc, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli(*(str(bad) if a == "BAD" else a for a in argv)) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_missing_file(self):
         assert run_cli(
             "decode", "--params", "/nonexistent.json", "--sync", SYNC,
             "--outer", OUTER, "--received", "/nonexistent.txt",
         ) == EXIT_PRECONDITION
+
+
+class TestKeyOrder:
+    def test_fixture_text_matches_generator(self):
+        spec = importlib.util.spec_from_file_location(
+            "make_desk_profile", REPO_ROOT / "scripts" / "make_desk_profile.py"
+        )
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        seq = sample_sync(gen.SYNC_PARAMS, gen.FIXTURE_SEED, gen.RETRY_BUDGET)
+        assert isinstance(seq, SyncSequence)
+        for name, record in [
+            ("sync_params.json", gen.SYNC_PARAMS),
+            ("sync_sequence.json", seq),
+            ("concat_params.json", gen.CONCAT_PARAMS),
+            ("outer_spec.json", gen.OUTER_SPEC),
+        ]:
+            text = (FIXTURE_DIR / name).read_text()
+            assert text == json.dumps(record.to_json(), indent=2) + "\n", name
+
+    def test_cli_records_follow_schema_order(self, tmp_path, desk_sync):
+        t = tmp_path
+        (t / "msg.txt").write_text(MESSAGE + "\n")
+        (t / "sp.json").write_text(json.dumps({
+            "n": 4, "msg_bits": 2, "block_bits": 10, "delta": "0",
+            "overlap_limit": 3, "list_limit": 4,
+        }))
+        (t / "hopeless.json").write_text(json.dumps({
+            "n": 4, "msg_bits": 1, "block_bits": 1, "delta": "0",
+            "overlap_limit": 1, "list_limit": 1,
+        }))
+        zeroed = SyncSequence(
+            params=desk_sync.params, mats=(BitMatrix.zero(4, 16),) + desk_sync.mats[1:]
+        )
+        (t / "zeroed.json").write_text(json.dumps(zeroed.to_json()))
+        (t / "boxes.json").write_text(json.dumps([["0"]] * 8))
+        runs = [
+            (EXIT_OK, "bias_report", ["bias", "--n", "8", "--eps", "1/8", "--exhaustive"]),
+            (EXIT_OK, "capacity_report", [
+                "capacity", "--k", "3", "--n", "8", "--radius", "1", "--trials", "3",
+                "--L", "4", "--seed", "1",
+            ]),
+            (EXIT_OK, "params_report", ["params", "--gamma", "1/256", "--n", "1048576"]),
+            (EXIT_OK, "rate_report", ["rate", "--params", PARAMS, "--outer", OUTER]),
+            (EXIT_OK, "recover_report", [
+                "recover", "--spec", OUTER, "--boxes", str(t / "boxes.json"), "--alpha", "0",
+            ]),
+            (EXIT_OK, "sync_sequence", [
+                "sync", "sample", "--params", str(t / "sp.json"), "--seed", "3",
+            ]),
+            (EXIT_CAP, "sample_failure", [
+                "sync", "sample", "--params", str(t / "hopeless.json"), "--retries", "3",
+            ]),
+        ]
+        written = {}
+        for code, schema, argv in runs:
+            out = t / f"{schema}.json"
+            assert run_cli(*argv, "--out", str(out)) == code, schema
+            written[schema] = json.loads(out.read_text())
+        assert run_cli(
+            "sync", "verify", "--params", SYNC_PARAMS, "--sequence", str(t / "zeroed.json"),
+            "--witness", str(t / "witness.json"),
+        ) == EXIT_REFUTED
+        assert run_cli(
+            "encode", "--params", PARAMS, "--sync", SYNC, "--outer", OUTER,
+            "--message", str(t / "msg.txt"), "--out", str(t / "cw.txt"),
+        ) == EXIT_OK
+        assert run_cli(
+            "corrupt", "--input", str(t / "cw.txt"), "--budget", "2", "--seed", "7",
+            "--out", str(t / "rx.txt"), "--script", str(t / "edit_script.json"),
+        ) == EXIT_OK
+        assert run_cli(
+            "decode", "--params", PARAMS, "--sync", SYNC, "--outer", OUTER,
+            "--received", str(t / "rx.txt"), "--report", str(t / "decode_report.json"),
+        ) == EXIT_OK
+        for schema, name in [
+            ("sync_witness", "witness.json"),
+            ("edit_script", "edit_script.json"),
+            ("decode_report", "decode_report.json"),
+        ]:
+            written[schema] = json.loads((t / name).read_text())
+        assert written["params_report"]["params"] is not None
+        assert len(written) == 10
+        v = BitVector.from_string
+        witnesses = [
+            AlignmentViolation(target=v("01"), hits=((0, v("1")), (1, v("1")))),
+            ListSizeViolation(block=2, target=v("0"), messages=(v("0"), v("1"))),
+        ]
+        for schema, obj in [*written.items(), *(("sync_witness", w.to_json()) for w in witnesses)]:
+            validate_against_schema(obj, f"{schema}.schema.json")
+            schema_doc = json.loads((SCHEMA_DIR / f"{schema}.schema.json").read_text())
+            assert key_order_breaks(obj, schema_doc) == [], schema
 
 
 def test_console_entry_point_subprocess():

@@ -341,6 +341,20 @@ class TestSequenceSerialization:
         with pytest.raises(ValueError, match="hash"):
             SyncSequence.from_json(obj)
 
+    @pytest.mark.parametrize("tampered", [False, True])
+    @pytest.mark.parametrize("hash_value", ["missing", None])
+    def test_missing_or_null_hash_rejected(self, desk_sync, hash_value, tampered):
+        obj = json.loads(json.dumps(desk_sync.to_json()))
+        if hash_value == "missing":
+            del obj["hash"]
+        else:
+            obj["hash"] = hash_value
+        if tampered:
+            row = obj["matrices"][0]["rows"][0]
+            obj["matrices"][0]["rows"][0] = format(int(row, 16) ^ 1, f"0{len(row)}x")
+        with pytest.raises(ValueError, match="hash"):
+            SyncSequence.from_json(obj)
+
     def test_refuted_round_trip(self):
         m = BitMatrix.from_rows(["1000", "0100"])
         v = verify_sync(PAIR_PARAMS, (m, m))
