@@ -53,7 +53,10 @@ EXIT_REFUTED = 4
 
 
 def _fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:  # argparse maps ValueError, not this, to exit 2
+        raise ValueError(str(exc)) from None
 
 
 def _read_json(path: str) -> dict:

@@ -29,7 +29,7 @@ from .edit_metric import (
 )
 from .records import Record
 from .rng import derive_seed
-from .sync import _ball_masks
+from .sync import _ball_index, _runs, _target
 
 
 @dataclass(frozen=True)
@@ -85,19 +85,19 @@ def measure_list_decodability(g: BitMatrix, radius: int) -> tuple[int, BitVector
     """Worst-case list size of the code generated by g at the given radius,
     with a string attaining it.
 
-    The list size of a string is the popcount of its message mask over the
-    edit balls around all 2^k codewords; strings outside every ball have
-    list size 0 and need no visit.
+    The list size of a string is the number of messages the edit-ball
+    index pairs with it; strings outside every ball have list size 0 and
+    need no visit.
     """
     k, n = g.dims
     if k > 16 or n > 16:
         raise ValueError("exhaustive regime is guarded to k <= 16, n <= 16")
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    masks = _ball_masks(g, radius)
-    best = max(m.bit_count() for m in masks.values())
-    ln, w = min(key for key, m in masks.items() if m.bit_count() == best)
-    return best, BitVector(w, ln)
+    keys, _ = _ball_index(g, radius)
+    starts, sizes = _runs(keys)
+    ln, w = _target(keys[starts[sizes.argmax()]])  # the least key of largest list
+    return int(sizes.max()), BitVector(w, ln)
 
 
 @dataclass(frozen=True)

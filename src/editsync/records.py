@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import types
 from dataclasses import MISSING, fields
+from functools import cache
 from fractions import Fraction
 from typing import ClassVar, Union, get_args, get_origin, get_type_hints
 
 from .bitlinalg import BitVector
 
 _FROM_STRING = {Fraction: Fraction, BitVector: BitVector.from_string}
+_type_hints = cache(get_type_hints)  # per record class, resolved once
 
 
 def _key(f) -> str:
@@ -95,7 +97,7 @@ class Record:
     def from_json(cls, obj) -> Record:
         if not _tags_match(cls, obj):
             raise ValueError(f"{cls.__name__}: {obj!r} is not a JSON object of this record")
-        hints, kwargs = get_type_hints(cls), {}
+        hints, kwargs = _type_hints(cls), {}
         for f in fields(cls):
             if not f.init:
                 continue

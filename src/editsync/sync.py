@@ -7,8 +7,9 @@ captures at most L messages of any single matrix, and (3) every matrix has
 full rank.
 
 Two verification strategies are provided and must agree: the fast one
-enumerates edit balls around the n * 2^a codewords and aggregates per
-target string; the reference one sweeps every candidate target of length
+builds each matrix's edit-ball index, the sorted distinct (target, message)
+pairs within the radius, and reads list sizes and blocks hit per target
+from its runs; the reference one sweeps every candidate target of length
 within [b - radius, b + radius].  Refutations are canonical: condition 3
 is checked first, then condition 1, then condition 2, and witnesses are
 minimal in (length, value) order, so both strategies return identical
@@ -23,6 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .bitlinalg import (
     BitMatrix,
     BitVector,
@@ -32,13 +35,16 @@ from .bitlinalg import (
     random_matrix,
     row_space_intersection,
 )
-from .edit_metric import ball_words, edit_distance_words
+# ball_words is unused here but stays part of this module's namespace:
+# perfbench's tracer wraps sync.ball_words.
+from .edit_metric import ball_words, edit_distance_words  # noqa: F401
 from .errors import CapExceeded
 from .pseudorandom import BiasedGeneratorSpec, KWiseSamplerSpec, eps_biased_expand, kwise_sample
 from .records import Record
 from .rng import derive_seed
 
 DEFAULT_VERIFY_CAP = 200_000_000
+BALL_ROUND_ENTRIES = 1 << 21  # int64 entries in one (frontier x position) array
 
 
 @dataclass(frozen=True)
@@ -146,15 +152,56 @@ class SyncSequence(Record):
         return seq
 
 
-def _ball_masks(mat: BitMatrix, radius: int) -> dict[tuple[int, int], int]:
-    """{(length, word): bitmask of the messages x whose codeword x*mat lies
-    within ``radius`` edits of the word}, over every ball around a codeword
-    of mat (the zero message included)."""
-    masks: dict[tuple[int, int], int] = {}
-    for x, c in enumerate(codeword_table(mat)):
-        for key in ball_words(c, mat.cols, radius):
-            masks[key] = masks.get(key, 0) | (1 << x)
-    return masks
+def _ball_index(mat: BitMatrix, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (key, message) pair, the zero message included, with codeword
+    message*mat within ``radius`` edits of key = (1 << length) | word; two
+    int64 arrays sorted by key, then message.  Round j edits once more the
+    strings reached by exactly j - 1 edits; the last two rounds differ in
+    length parity and together hold the ball.  Chunks of messages keep each
+    round's (frontier x position) arrays within BALL_ROUND_ENTRIES, or raise
+    CapExceeded where one message alone exceeds it."""
+    a, b = mat.dims
+    if (bits := b + radius + 1 + a) > 62:
+        raise CapExceeded(f"edit-ball index keys need {bits} bits (cap 62)", required=bits)
+    step = max(1, BALL_ROUND_ENTRIES // (_ball_work_bound(b, radius - 1) * (b + radius)))
+    start = (np.array(codeword_table(mat), dtype=np.int64) | 1 << b) << a | np.arange(1 << a)
+    parts = []
+    for lo in range(0, 1 << a, step):
+        prev, front = start[:0], start[lo : lo + step]
+        for width in range(b + 1, b + radius + 1):
+            if len(front) * width > BALL_ROUND_ENTRIES:
+                raise CapExceeded("edit ball too large for one round", required=len(front) * width)
+            # delete at, or insert a 0 or a 1 at, each key position q - a
+            q = np.arange(a, a + width)
+            low, high = front[:, None] & ((1 << q) - 1), front[:, None] >> q
+            ins, ok = low | (high << (q + 1)), high > 0  # ok: q - a <= length
+            dele = low[:, :-1] | (high[:, 1:] << q[:-1])
+            cands = np.concatenate([dele[ok[:, 1:]], ins[ok], (ins | 1 << q)[ok]])
+            cands.sort()
+            prev, front = front, cands[_runs(cands)[0]]
+        parts += [prev, front]
+    packed = np.sort(np.concatenate(parts))
+    return packed >> a, packed & ((1 << a) - 1)
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and length of each run of equal entries in sorted ``values``."""
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1]))[: len(values)])
+    return starts, np.diff(np.append(starts, len(values)))
+
+
+def _least_shared(key_sets: list[np.ndarray], limit: int):
+    """The least key held by more than ``limit`` of the sorted arrays, or None."""
+    keys = np.sort(np.concatenate([k[_runs(k)[0]] for k in key_sets]))
+    starts, sizes = _runs(keys)
+    over = np.flatnonzero(sizes > limit)
+    return keys[starts[over[0]]] if over.size else None
+
+
+def _target(key) -> tuple[int, int]:
+    """(length, word) of an index key."""
+    length = int(key).bit_length() - 1
+    return length, int(key) ^ (1 << length)
 
 
 def check_rowspace_condition(
@@ -177,17 +224,14 @@ def check_rowspace_condition(
             raise ValueError("matrices must share the column count")
     if len(mats) <= overlap_limit:
         return None
-    hit_blocks: dict[int, dict[int, int]] = {}
-    for i, m in enumerate(mats):
-        for (_, v), xm in _ball_masks(m, 0).items():
-            if v:  # zero target never witnesses a row-space overlap
-                hit_blocks.setdefault(v, {})[i] = (xm & -xm).bit_length() - 1
-    violating = [v for v, per in hit_blocks.items() if len(per) > overlap_limit]
-    if not violating:
+    index = [_ball_index(m, 0) for m in mats]
+    # the zero codeword never witnesses a row-space overlap
+    key = _least_shared([keys[keys != 1 << b] for keys, _ in index], overlap_limit)
+    if key is None:
         return None
-    v = min(violating)
-    per = hit_blocks[v]
-    chosen = sorted(per.items())[: overlap_limit + 1]
+    hits = [(i, msgs[keys == key]) for i, (keys, msgs) in enumerate(index)]
+    chosen = [(i, int(x[0])) for i, x in hits if x.size][: overlap_limit + 1]  # least messages
+    v = int(key) ^ (1 << b)
     subset = [mats[i] for i, _ in chosen]
     inter = row_space_intersection(subset)
     if not in_row_space(v, [bv.bits for bv in inter]):
@@ -263,29 +307,20 @@ def _verify_fast(
             f"fast verification needs about {estimate} steps (cap {max_work})",
             required=estimate,
         )
-    # per target (len, word): bitmask of blocks with a nonzero message in
-    # range; list-size breaches as (len, word, block)
-    block_mask: dict[tuple[int, int], int] = {}
-    bad2 = []
+    hit_keys, bad2 = [], []
     for i, m in enumerate(mats):
-        for key, xm in _ball_masks(m, radius).items():
-            if xm > 1:
-                block_mask[key] = block_mask.get(key, 0) | (1 << i)
-            if xm.bit_count() > params.list_limit:
-                bad2.append((*key, i))
-
-    cond1 = None
-    bad1 = [
-        key for key, bm in block_mask.items() if bm.bit_count() > params.overlap_limit
-    ]
-    if bad1:
-        ln, w = min(bad1)
-        cond1 = _alignment_witness(params, mats, ln, w)
-
-    cond2 = None
+        keys, msgs = _ball_index(m, radius)
+        starts, sizes = _runs(keys)
+        # a target's greatest message is nonzero when any nonzero one is in range
+        hit_keys.append(keys[starts][msgs[starts + sizes - 1] > 0])
+        bad2 += [(keys[starts[j]], i) for j in np.flatnonzero(sizes > params.list_limit)[:1]]
+    cond1 = cond2 = None
+    key = _least_shared(hit_keys, params.overlap_limit)
+    if key is not None:
+        cond1 = _alignment_witness(params, mats, *_target(key))
     if bad2:
-        ln, w, i = min(bad2)
-        cond2 = _list_size_witness(params, mats, i, ln, w)
+        key, i = min(bad2)
+        cond2 = _list_size_witness(params, mats, i, *_target(key))
     return cond1, cond2
 
 

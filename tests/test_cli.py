@@ -3,15 +3,22 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import editsync
-from editsync.bitlinalg import BitMatrix, BitVector
+from editsync.bitlinalg import BitMatrix, BitVector, random_matrix
 from editsync.cli import EXIT_CAP, EXIT_OK, EXIT_PRECONDITION, EXIT_REFUTED, main
 from editsync.codec import apply_edits, concat_encode, decode, random_edit_script
-from editsync.sync import AlignmentViolation, ListSizeViolation, SyncSequence, sample_sync
+from editsync.sync import (
+    AlignmentViolation,
+    ListSizeViolation,
+    SyncParams,
+    SyncSequence,
+    sample_sync,
+)
 
 from conftest import FIXTURE_DIR, REPO_ROOT, SCHEMA_DIR, validate_against_schema
 
@@ -288,6 +295,38 @@ class TestRecoverAndRate:
 class TestErrors:
     def test_bad_rational(self):
         assert run_cli("params", "--gamma", "1/8", "--n", "64") == EXIT_PRECONDITION
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["params", "--gamma", "1/0", "--n", "64"],
+            ["bias", "--n", "8", "--eps", "1/0"],
+            ["recover", "--spec", OUTER, "--boxes", "boxes.json", "--alpha", "1/0"],
+            ["sync", "search", "--params", SYNC_PARAMS, "--bias-eps", "1/0"],
+        ],
+        ids=["gamma", "eps", "alpha", "bias-eps"],
+    )
+    def test_zero_denominator_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "invalid _fraction value: '1/0'" in err and "Traceback" not in err
+
+    def test_verify_over_index_key_width(self, tmp_path, capsys):
+        # 61 columns at radius 2 with one message bit need 65-bit index keys
+        params = SyncParams(
+            n=1, msg_bits=1, block_bits=61, delta=Fraction(2, 61), overlap_limit=1, list_limit=1
+        )
+        params_file, seq_file = tmp_path / "params.json", tmp_path / "seq.json"
+        params_file.write_text(json.dumps(params.to_json()))
+        seq = SyncSequence(params=params, mats=(random_matrix(1, 61, 0),))
+        seq_file.write_text(json.dumps(seq.to_json()))
+        assert run_cli(
+            "sync", "verify", "--params", str(params_file), "--sequence", str(seq_file)
+        ) == EXIT_CAP
+        err = capsys.readouterr().err
+        assert "resource cap exceeded" in err and "Traceback" not in err
 
     def test_decode_over_work_cap(self, tmp_path, capsys):
         rx_file = tmp_path / "rx.txt"

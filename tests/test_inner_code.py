@@ -12,6 +12,7 @@ from editsync.codec import apply_edits, concat_encode, random_edit_script, windo
 from editsync.edit_metric import (
     EditBallQuery,
     ball_enumerate,
+    ball_words,
     edit_distance,
     edit_distance_words,
 )
@@ -168,6 +169,19 @@ class TestMeasureListDecodability:
     def test_guard(self):
         with pytest.raises(ValueError):
             measure_list_decodability(random_matrix(4, 17, 0), 1)
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_matches_ball_oracle_at_128_messages(self, radius):
+        for seed in range(3):
+            g = random_matrix(7, 9, derive_seed("list7", seed))
+            lists = {}  # (length, word) -> messages within radius
+            for x, c in enumerate(codeword_table(g)):
+                for key in ball_words(c, 9, radius):
+                    lists.setdefault(key, set()).add(x)
+            best = max(map(len, lists.values()))
+            ln, w = min(key for key, xs in lists.items() if len(xs) == best)
+            assert best > 1
+            assert measure_list_decodability(g, radius) == (best, BitVector(w, ln))
 
     def test_against_naive_double_loop(self):
         k, n, radius = 3, 8, 1

@@ -1,10 +1,14 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from editsync.bitlinalg import BitMatrix, BitVector, mat_vec_mul, random_matrix
-from editsync.edit_metric import edit_distance
+from editsync import sync
+from editsync.bitlinalg import BitMatrix, BitVector, codeword_table, mat_vec_mul, random_matrix
+from editsync.edit_metric import ball_words, edit_distance
 from editsync.errors import CapExceeded
 from editsync.pseudorandom import BiasedGeneratorSpec, KWiseSamplerSpec
 from editsync.rng import derive_seed
@@ -20,6 +24,7 @@ from editsync.sync import (
     sample_sync,
     search_over_seeds,
     sync_rate_bound,
+    verify_outcome,
     verify_sync,
 )
 
@@ -70,6 +75,114 @@ class TestParams:
         assert SyncParams.from_json(p.to_json()) == p
 
 
+def bfs_masks(mat: BitMatrix, radius: int) -> dict[tuple[int, int], int]:
+    """{(length, word): bitmask of the messages within ``radius`` edits},
+    from one breadth-first ``ball_words`` enumeration per codeword."""
+    masks = {}
+    for x, c in enumerate(codeword_table(mat)):
+        for key in ball_words(c, mat.cols, radius):
+            masks[key] = masks.get(key, 0) | (1 << x)
+    return masks
+
+
+def index_masks(mat: BitMatrix, radius: int) -> dict[tuple[int, int], int]:
+    keys, msgs = sync._ball_index(mat, radius)
+    pairs = list(zip(keys.tolist(), msgs.tolist()))
+    assert pairs == sorted(set(pairs))  # distinct and sorted by key, then message
+    masks = {}
+    for key, x in pairs:
+        target = sync._target(key)
+        masks[target] = masks.get(target, 0) | (1 << x)
+    return masks
+
+
+@st.composite
+def index_cases(draw):
+    radius = draw(st.integers(0, 3))
+    a = draw(st.integers(1, 3 if radius == 3 else 4))
+    b = draw(st.integers(a, 7 if radius == 3 else 10))
+    return random_matrix(a, b, draw(st.integers(0, 2**32))), radius
+
+
+class TestBallIndex:
+    @given(index_cases())
+    def test_matches_bfs_masks(self, case):
+        mat, radius = case
+        assert index_masks(mat, radius) == bfs_masks(mat, radius)
+
+    @pytest.mark.parametrize("entries", [29 * 11, 3 * 29 * 11])
+    def test_message_chunks_do_not_change_the_index(self, monkeypatch, entries):
+        # 4x9 at radius 2 bounds a message's round at 29 * 11 entries, so
+        # these give chunks of 1 and of 3 messages (the last one short)
+        mat = random_matrix(4, 9, 5)
+        whole = sync._ball_index(mat, 2)
+        monkeypatch.setattr(sync, "BALL_ROUND_ENTRIES", entries)
+        chunked = sync._ball_index(mat, 2)
+        assert all(map(np.array_equal, whole, chunked))
+
+    def test_one_message_over_the_round_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(sync, "BALL_ROUND_ENTRIES", 100)
+        with pytest.raises(CapExceeded) as exc:
+            sync._ball_index(random_matrix(4, 9, 5), 2)
+        assert exc.value.required > 100
+
+    def test_62_bit_keys_are_exact(self):
+        mat = random_matrix(1, 58, 3)  # 58 + radius 2 + 1 + 1 = 62 bits
+        assert index_masks(mat, 2) == bfs_masks(mat, 2)
+
+    @pytest.mark.parametrize("a, b, radius", [(1, 59, 2), (24, 36, 2)])
+    def test_wider_keys_raise_before_building(self, monkeypatch, a, b, radius):
+        def no_table(mat):
+            raise AssertionError("codeword table built before the width check")
+
+        monkeypatch.setattr(sync, "codeword_table", no_table)
+        with pytest.raises(CapExceeded) as exc:
+            sync._ball_index(random_matrix(a, b, 0), radius)
+        assert exc.value.required == a + b + radius + 1 > 62
+
+    @pytest.mark.parametrize(
+        "l, L, seed, kinds",
+        [
+            (1, 6, 0, ["condition1"]),
+            (1, 4, 2, ["condition1", "condition2", "condition3"]),
+            (2, 6, 0, []),
+        ],
+    )
+    def test_fast_matches_reference_at_128_messages(self, l, L, seed, kinds):
+        params = SyncParams(
+            n=2, msg_bits=7, block_bits=8, delta=Fraction(1, 8), overlap_limit=l, list_limit=L
+        )
+        mats = tuple(random_matrix(7, 8, derive_seed("a7", seed, i)) for i in range(2))
+        fast = verify_outcome(params, mats, "fast")
+        assert fast == verify_outcome(params, mats, "reference")
+        assert fast.violated_kinds() == kinds
+
+    def test_rowspace_matches_scalar_oracle_at_128_messages(self):
+        def oracle(mats, limit):
+            per = {}  # nonzero codeword -> {block: least message}
+            for i, m in enumerate(mats):
+                for x, c in enumerate(codeword_table(m)):
+                    if c:
+                        per.setdefault(c, {}).setdefault(i, x)
+            bad = [v for v, blocks in per.items() if len(blocks) > limit]
+            if not bad:
+                return None
+            v = min(bad)
+            return AlignmentViolation(
+                target=BitVector(v, 14),
+                hits=tuple((i, BitVector(x, 7)) for i, x in sorted(per[v].items())[: limit + 1]),
+            )
+
+        verdicts = set()
+        for seed in range(8):
+            mats = [random_matrix(7, 14, derive_seed("rs7", seed, i)) for i in range(3)]
+            for limit in (1, 2):
+                got = check_rowspace_condition(mats, limit)
+                assert got == oracle(mats, limit)
+                verdicts.add(got is None)
+        assert verdicts == {True, False}
+
+
 class TestRowspaceCondition:
     def test_disjoint_pass(self):
         assert check_rowspace_condition(DISJOINT, 1) is None
@@ -79,6 +192,14 @@ class TestRowspaceCondition:
         v = check_rowspace_condition([m, m], 1)
         assert isinstance(v, AlignmentViolation)
         assert v.target.bits != 0
+
+    def test_zero_matrix_block_hits_nothing(self):
+        m = BitMatrix.from_rows(["1000", "0100"])
+        v = check_rowspace_condition([BitMatrix.zero(2, 4), m, m], 1)
+        assert v == AlignmentViolation(
+            target=BitVector(1, 4),  # row 0, the least nonzero codeword
+            hits=((1, BitVector(1, 2)), (2, BitVector(1, 2))),
+        )
 
     def test_vacuous_below_subset_size(self):
         m = BitMatrix.from_rows(["1000", "0100"])
